@@ -54,13 +54,9 @@ impl PartitionedStoreEngine {
 
     /// Run the workload on `params.threads` workers.
     pub fn run(&self, params: &RunParams) -> RunStats {
-        timed_run(
-            params.threads,
-            params.warmup,
-            params.measure,
-            |_| true,
-            |idx, ctl| self.worker(idx, ctl, params),
-        )
+        timed_run(params.threads, params.warmup, params.measure, |idx, ctl| {
+            self.worker(idx, ctl, params)
+        })
     }
 
     fn worker(&self, idx: usize, ctl: &orthrus_common::RunCtl, params: &RunParams) -> ThreadStats {

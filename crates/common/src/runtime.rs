@@ -113,18 +113,11 @@ impl RunParams {
 }
 
 /// Spawn `n_workers` pinned threads running `worker(index, ctl)`, drive
-/// the warmup → measure → stop protocol, and merge the returned stats.
-///
-/// `counted` limits which worker indexes contribute to
-/// [`RunStats::threads`] (ORTHRUS counts only execution threads there);
-/// all returned stats are merged regardless.
-pub fn timed_run<F>(
-    n_workers: usize,
-    warmup: Duration,
-    measure: Duration,
-    counted: impl Fn(usize) -> bool,
-    worker: F,
-) -> RunStats
+/// the warmup → measure → stop protocol, and merge the returned stats:
+/// every worker counts toward [`RunStats::threads`]. The baseline engines
+/// run on this; ORTHRUS drives the same protocol through its own
+/// service-mode lifecycle instead.
+pub fn timed_run<F>(n_workers: usize, warmup: Duration, measure: Duration, worker: F) -> RunStats
 where
     F: Fn(usize, &RunCtl) -> ThreadStats + Sync,
 {
@@ -147,20 +140,10 @@ where
         std::thread::sleep(measure);
         ctl.request_stop();
         elapsed = t0.elapsed();
-        for (i, h) in handles.into_iter().enumerate() {
-            let stats = h.join().expect("worker panicked");
-            if counted(i) {
-                per_thread.push(stats);
-            } else {
-                // Merge uncounted workers into the last counted slot so no
-                // signal is lost, without inflating the thread count.
-                if let Some(last) = per_thread.last_mut() {
-                    last.merge(&stats);
-                } else {
-                    per_thread.push(stats);
-                }
-            }
-        }
+        per_thread = handles
+            .into_iter()
+            .map(|h| h.join().expect("worker panicked"))
+            .collect();
     })
     .expect("engine thread panicked");
     RunStats::collect(&per_thread, elapsed)
@@ -176,7 +159,6 @@ mod tests {
             4,
             Duration::from_millis(30),
             Duration::from_millis(100),
-            |_| true,
             |_, ctl| {
                 let mut s = ThreadStats::default();
                 while !ctl.is_stopped() {
@@ -201,33 +183,11 @@ mod tests {
     }
 
     #[test]
-    fn uncounted_workers_merge_without_inflating() {
-        let stats = timed_run(
-            3,
-            Duration::from_millis(1),
-            Duration::from_millis(20),
-            |i| i < 2,
-            |i, ctl| {
-                while !ctl.is_stopped() {
-                    std::thread::yield_now();
-                }
-                ThreadStats {
-                    committed: 10 + i as u64,
-                    ..Default::default()
-                }
-            },
-        );
-        assert_eq!(stats.threads, 2);
-        assert_eq!(stats.totals.committed, 10 + 11 + 12);
-    }
-
-    #[test]
     fn throughput_reflects_commits_over_window() {
         let stats = timed_run(
             1,
             Duration::from_millis(1),
             Duration::from_millis(50),
-            |_| true,
             |_, ctl| {
                 let mut s = ThreadStats::default();
                 while !ctl.is_stopped() {

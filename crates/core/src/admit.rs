@@ -10,67 +10,83 @@
 //! transactions by *conflict class* before admission recovers much of
 //! that loss.
 //!
-//! This module lifts admission into a pluggable policy layer:
+//! This module is that scheduling layer, built as **one mechanism with a
+//! setting** rather than one engine per policy. Every execution thread
+//! owns one [`Admitter`]: its transaction source, its planning RNG, one
+//! set of per-class run queues, and one [`AdaptiveController`] that says,
+//! epoch by epoch, whether admissions batch and how deep.
+//! [`AdmissionPolicy`] only chooses the controller's setting:
 //!
-//! - [`AdmissionPolicy::Fifo`] reproduces the seed's admission order
-//!   exactly (same generator stream, same planning RNG stream, one
-//!   generate+plan per admission, runs of one) — proptest-pinned in
-//!   `crate::proptests`.
-//! - [`AdmissionPolicy::ConflictBatch`] plans each transaction **once at
-//!   admission** and reuses the plan downstream, derives its conflict
-//!   class from the **hottest key of the planned footprint** (a decaying
-//!   frequency sketch over recent footprints; ties fall back to the
-//!   pre-admission [`Program::hot_key_hint`]), and drains per-class run
-//!   queues back-to-back — up to `batch` per class, round-robin across
-//!   classes. A drained run is handed to the execution thread as one
-//!   unit, which **serializes it locally**: the union of the run's
-//!   footprints is acquired in a single fused round, the run executes
-//!   back-to-back under it, and one release round frees it. The hot-key
-//!   convoy that cost FIFO admission one fabric round trip per waiting
-//!   transaction costs one per *run* instead.
+//! - [`AdmissionPolicy::Adaptive`] lets the controller move (below).
+//! - [`AdmissionPolicy::Fifo`] pins it to "never batch". The run queues
+//!   stay empty and every admission is the seed's step — generate one,
+//!   plan one, admit a run of one — so the program and plan streams are
+//!   the seed's bit for bit (proptest-pinned in `crate::proptests`).
+//! - [`AdmissionPolicy::ConflictBatch`] pins it to "batch at depth
+//!   `batch`": it can neither demote nor change depth.
+//!
+//! A pinned controller is a fixed point by construction — a mode of the
+//! controller, not a threshold no signal happens to cross — so
+//! [`Admitter::switches`] stays 0 whatever the conflict signal says.
+//!
+//! **Batching.** While the controller batches, the admitter plans each
+//! transaction **once at admission** and reuses the plan downstream,
+//! derives its conflict class from the **hottest key of the planned
+//! footprint** (a decaying frequency sketch over recent footprints; ties
+//! fall back to the pre-admission [`Program::hot_key_hint`]), and drains
+//! per-class run queues back-to-back — up to the batch depth per class,
+//! round-robin across classes. A drained run is handed to the execution
+//! thread as one unit, which **serializes it locally**: the union of the
+//! run's footprints is acquired in a single fused round, the run executes
+//! back-to-back under it, and one release round frees it. The hot-key
+//! convoy that cost FIFO admission one fabric round trip per waiting
+//! transaction costs one per *run* instead.
 //!
 //! The tradeoff is deliberate and visible in ablation A6
 //! (`abl06_admission`): under low skew the fused unions hold more locks
 //! for longer than independent acquisitions and FIFO wins; past the
-//! contention crossover the amortized round trips dominate and
-//! `ConflictBatch` wins, increasingly with skew.
+//! contention crossover the amortized round trips dominate and batching
+//! wins, increasingly with skew.
 //!
-//! Starvation-freedom of `ConflictBatch` is structural: the admitter only
+//! Starvation-freedom of batching is structural: the admitter only
 //! refills its run queues when **every** class queue is empty, and the
 //! drain rotates round-robin with a per-class cap, so each refill window
 //! is admitted in full — a saturated hot class can delay a cold class by
 //! at most one window, never forever.
 //!
-//! ## Adaptive admission ([`AdmissionPolicy::Adaptive`])
+//! ## Adaptive admission
 //!
-//! Ablation A6 shows a clean crossover: FIFO wins at low skew,
-//! `ConflictBatch` past it. Which side of the crossover a deployment sits
-//! on is a property of the *observed* workload, so the third policy picks
-//! online: it wraps both static policies and switches between them from a
+//! Ablation A6 shows a clean crossover: FIFO wins at low skew, batching
+//! past it. Which side a deployment sits on is a property of the
+//! *observed* workload, so the unpinned controller picks online from a
 //! contention signal collected on the hot path — every lock grant carries
 //! the number of grant-deferral events (locks that had to wait) the
 //! acquisition experienced, and the execution thread folds those into the
-//! admitter's per-epoch counters ([`Admitter::note_lock_waits`]). Every
-//! `epoch` admissions, [`AdaptiveController`] compares the epoch's
+//! admitter's per-epoch counters ([`Admitter::note_lock_waits`]). At every
+//! epoch close, [`AdaptiveController`] compares the epoch's
 //! deferrals-per-100-admissions against a threshold with hysteresis
 //! (promote to batching after `hysteresis` consecutive hot epochs, demote
 //! after as many cold ones, hold inside the band between the promote and
 //! demote thresholds) and, while batching, walks the per-class batch
 //! depth up and down the shared power-of-two ladder ([`crate::ladder`])
-//! the way the harness's `tune_flush_threshold` climbs it offline.
+//! the way the harness's `tune_flush_threshold` climbs it offline. While
+//! not batching, planned footprints still feed the sketch, so a later
+//! promotion classifies with a warm sketch.
 //!
-//! Conservation across a live switch is structural: a demotion to FIFO
-//! never drops the transactions still parked in class queues — they drain
+//! Conservation across a live switch is structural: a demotion never
+//! drops the transactions still parked in class queues — they drain
 //! first, one per admission in the same round-robin order (so the
 //! per-class starvation cap keeps holding across the switch), and only
 //! then does the admitter fall back to generate-one-admit-one.
 //!
-//! **Clocks.** The frequency sketch's decay and the adaptive epoch share
-//! one boundary discipline: decay ticks only *between* admission windows
-//! — at a `ConflictBatch` refill boundary, or at an `Adaptive` epoch
-//! close — never while a window is being observed and classified, so
-//! every refill window is classified against a single sketch state and a
-//! drained run can never straddle a decay.
+//! **One clock.** The epoch close is the only clock: it feeds the
+//! controller and ticks the frequency sketch's decay. An epoch is
+//! `epoch` admissions under `Adaptive`, the refill window
+//! `classes × batch` under `ConflictBatch` (with a synthetic source every
+//! refill is full, so each close lands exactly on a refill boundary), and
+//! [`DEFAULT_ADAPTIVE_EPOCH`] under `Fifo`. Epochs close only between
+//! admissions, never inside a refill, so every refill window is observed
+//! and classified against a single sketch state.
 
 use std::collections::VecDeque;
 
@@ -248,12 +264,12 @@ impl AdmissionPolicy {
     }
 }
 
-/// The hysteresis state machine behind [`AdmissionPolicy::Adaptive`]: a
-/// **pure, deterministic** function of the epoch-counter sequence fed to
-/// [`Self::observe_epoch`] — no clocks, no randomness — so a fixed
-/// conflict-signal trace always produces the same policy-switch schedule
-/// (proptest-pinned in `crate::proptests`).
+/// The one admission controller: a **pure, deterministic** function of
+/// the epoch-counter sequence fed to [`Self::observe_epoch`] — no clocks,
+/// no randomness — so a fixed conflict-signal trace always produces the
+/// same policy-switch schedule (proptest-pinned in `crate::proptests`).
 ///
+/// A controller built by [`Self::new`] moves ([`AdmissionPolicy::Adaptive`]).
 /// Semantics per epoch, with `rate` = deferrals per 100 admissions:
 ///
 /// - **hot** (`rate ≥ threshold_pct`): while FIFO, grow the promote
@@ -266,8 +282,14 @@ impl AdmissionPolicy {
 /// - **in the band between**: reset the active streak and hold — the
 ///   hysteresis band is what keeps a rate oscillating *at* the promote
 ///   threshold from flapping the policy.
+///
+/// The static policies are the same controller **pinned**: `Fifo` at
+/// (not batching), `ConflictBatch` at (batching, `batch`). A pinned
+/// controller returns its setting from every epoch unchanged.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AdaptiveController {
+    /// Whether epochs can move the controller at all.
+    pinned: bool,
     threshold_pct: u32,
     demote_pct: u32,
     hysteresis: u32,
@@ -289,6 +311,7 @@ impl AdaptiveController {
         );
         let min_batch = ADAPTIVE_MIN_BATCH.min(max_batch);
         AdaptiveController {
+            pinned: false,
             threshold_pct,
             demote_pct: threshold_pct.div_ceil(2),
             hysteresis,
@@ -301,10 +324,24 @@ impl AdaptiveController {
         }
     }
 
+    /// A controller pinned at (`batching`, `batch`): the fixed point a
+    /// static policy denotes.
+    fn pinned(batching: bool, batch: usize) -> Self {
+        AdaptiveController {
+            pinned: true,
+            batching,
+            batch,
+            ..Self::new(1, 1, batch)
+        }
+    }
+
     /// Close one epoch: feed its counters, get back the (batching?, batch
     /// depth) to use for the next epoch.
     pub fn observe_epoch(&mut self, deferrals: u64, admitted: u64) -> (bool, usize) {
         debug_assert!(admitted > 0, "epochs close after ≥ 1 admission");
+        if self.pinned {
+            return (self.batching, self.batch);
+        }
         let rate = deferrals.saturating_mul(100) / admitted.max(1);
         let hot = rate >= self.threshold_pct as u64;
         let cold = rate < self.demote_pct as u64;
@@ -453,10 +490,9 @@ pub struct Admitted {
 ///
 /// Decay is **boundary-clocked**: [`Self::observe`] only counts, and
 /// [`Self::decay_tick`] halves the counters when due. The admitter calls
-/// the tick exclusively at window boundaries — a `ConflictBatch` refill,
-/// or an `Adaptive` epoch close — so a refill window is always observed
-/// and classified against one sketch state, and a decay can never land
-/// mid-classification of a drained run.
+/// the tick exclusively at epoch closes (the one clock; see the module
+/// docs), never inside a refill, so a refill window is always observed
+/// and classified against one sketch state.
 struct HotSketch {
     counts: Box<[u32; Self::LEN]>,
     observed: u32,
@@ -506,14 +542,15 @@ impl HotSketch {
     }
 }
 
-/// Per-class run queues for `ConflictBatch`.
+/// Per-class run queues: filled only while the controller batches (and
+/// drained dry after a demotion).
 struct RunQueues {
     queues: Vec<VecDeque<Admitted>>,
     /// Class currently draining.
     cursor: usize,
     /// Admissions left in the current class's back-to-back batch.
     budget: usize,
-    /// Per-class drain cap.
+    /// Per-class drain cap (the controller's batch depth).
     batch: usize,
     /// Total queued transactions across all classes.
     queued: usize,
@@ -521,89 +558,75 @@ struct RunQueues {
     sketch: HotSketch,
 }
 
-/// Per-thread adaptive state: the controller plus the epoch counters the
-/// execution thread feeds ([`Admitter::note_lock_waits`]).
-struct AdaptiveState {
-    ctl: AdaptiveController,
-    /// Epoch length in admissions.
-    epoch: u64,
-    admitted_in_epoch: u64,
-    waits_in_epoch: u64,
-    /// Whether admissions currently batch (mirrors `ctl.batching()`; the
-    /// queued backlog may still be draining after a demotion).
-    batching: bool,
-}
-
 /// One execution thread's admission state: the transaction source
 /// (synthetic generator or client ingest ring — see [`crate::source`]),
-/// the planning RNG (the OLLP reconnaissance noise stream), and any
-/// policy queues. Owned by the thread — admission is thread-local,
-/// exactly like the seed's inlined path. Generic over the source so the
-/// hot admission path monomorphizes (no per-transaction dispatch).
+/// the planning RNG (the OLLP reconnaissance noise stream), the run
+/// queues, and the controller with its epoch counters. Owned by the
+/// thread — admission is thread-local, exactly like the seed's inlined
+/// path. Generic over the source so the hot admission path monomorphizes
+/// (no per-transaction dispatch).
 pub struct Admitter<S: TxnSource> {
     source: S,
     plan_rng: XorShift64,
     /// OLLP estimate noise applied to admission-time planning; retries
     /// always re-plan with the corrected (noise-free) estimate.
     noise: u32,
-    run_queues: Option<RunQueues>,
-    adaptive: Option<AdaptiveState>,
+    run_queues: RunQueues,
+    ctl: AdaptiveController,
+    /// Epoch length in admissions.
+    epoch: u64,
+    admitted_in_epoch: u64,
+    waits_in_epoch: u64,
 }
 
 impl<S: TxnSource> Admitter<S> {
-    /// Build the admission state for execution thread `exec_id`.
+    /// Build the admission state for execution thread `exec_id`: map
+    /// `policy` onto the one controller (see the module docs).
     ///
     /// The planning RNG is seeded exactly as the seed's `ExecThread` was,
     /// so `Fifo` admission over a [`crate::source::SyntheticSource`]
     /// reproduces the seed's program and plan streams bit for bit.
     pub fn new(policy: &AdmissionPolicy, source: S, seed: u64, exec_id: u16, noise: u32) -> Self {
-        let mut adaptive = None;
-        let run_queues = match *policy {
-            AdmissionPolicy::Fifo => None,
-            AdmissionPolicy::ConflictBatch { classes, batch } => {
-                assert!(classes >= 1 && batch >= 1, "validated by OrthrusConfig");
-                Some(RunQueues {
-                    queues: (0..classes).map(|_| VecDeque::new()).collect(),
-                    cursor: 0,
-                    budget: batch,
-                    batch,
-                    queued: 0,
-                    sketch: HotSketch::new(),
-                })
-            }
+        let (ctl, classes, epoch) = match *policy {
+            AdmissionPolicy::Fifo => (
+                AdaptiveController::pinned(false, 1),
+                1,
+                DEFAULT_ADAPTIVE_EPOCH as usize,
+            ),
+            AdmissionPolicy::ConflictBatch { classes, batch } => (
+                AdaptiveController::pinned(true, batch),
+                classes,
+                classes * batch,
+            ),
             AdmissionPolicy::Adaptive {
                 classes,
                 max_batch,
                 threshold_pct,
                 hysteresis,
                 epoch,
-            } => {
-                assert!(classes >= 1 && epoch >= 2, "validated by OrthrusConfig");
-                let ctl = AdaptiveController::new(threshold_pct, hysteresis, max_batch);
-                let batch = ctl.batch();
-                adaptive = Some(AdaptiveState {
-                    ctl,
-                    epoch: epoch as u64,
-                    admitted_in_epoch: 0,
-                    waits_in_epoch: 0,
-                    batching: false,
-                });
-                Some(RunQueues {
-                    queues: (0..classes).map(|_| VecDeque::new()).collect(),
-                    cursor: 0,
-                    budget: batch,
-                    batch,
-                    queued: 0,
-                    sketch: HotSketch::new(),
-                })
-            }
+            } => (
+                AdaptiveController::new(threshold_pct, hysteresis, max_batch),
+                classes,
+                epoch as usize,
+            ),
         };
+        assert!(classes >= 1 && epoch >= 1, "validated by OrthrusConfig");
         Admitter {
             source,
             plan_rng: XorShift64::for_thread(seed ^ 0x6578_6563, exec_id as usize),
             noise,
-            run_queues,
-            adaptive,
+            run_queues: RunQueues {
+                queues: (0..classes).map(|_| VecDeque::new()).collect(),
+                cursor: 0,
+                budget: ctl.batch(),
+                batch: ctl.batch(),
+                queued: 0,
+                sketch: HotSketch::new(),
+            },
+            ctl,
+            epoch: epoch as u64,
+            admitted_in_epoch: 0,
+            waits_in_epoch: 0,
         }
     }
 
@@ -617,101 +640,77 @@ impl<S: TxnSource> Admitter<S> {
 
     /// Admit the next *run*: up to `max` same-class transactions drained
     /// back-to-back, meant to be serialized locally by the execution
-    /// thread under one fused lock acquisition. `Fifo` always returns a
-    /// single transaction (the seed admitted one acquisition chain per
-    /// transaction); `ConflictBatch` returns the current class's next
-    /// `min(max, batch budget)` queued transactions. `Adaptive` behaves
-    /// like whichever policy its controller currently selects, closing an
-    /// epoch first if one is due — policy switches only ever land on run
-    /// boundaries. **Empty** exactly when the source has nothing to
-    /// admit (client ring dry) and no backlog is queued.
+    /// thread under one fused lock acquisition. Closes an epoch first if
+    /// one is due, so a switch only ever lands on a run boundary. While
+    /// the controller batches, the run is the current class's next
+    /// `min(max, batch budget)` queued transactions; otherwise it is a
+    /// single transaction — queued backlog first, then the seed's
+    /// generate-one-plan-one. **Empty** exactly when the source has
+    /// nothing to admit (client ring dry) and no backlog is queued.
     pub fn next_run(&mut self, db: &Database, max: usize) -> Vec<Admitted> {
         debug_assert!(max >= 1);
         self.maybe_close_epoch();
-        let batching = match (&self.run_queues, &self.adaptive) {
-            (None, _) => None,
-            (Some(_), None) => Some(true),
-            (Some(_), Some(st)) => Some(st.batching),
+        let run = if self.ctl.batching() {
+            self.next_run_batched(db, max)
+        } else if self.queued() > 0 {
+            // A demotion's backlog drains first, one per admission in the
+            // same round-robin rotation: nothing is lost, and the
+            // per-class cap keeps bounding wait across the switch.
+            self.next_run_batched(db, 1)
+        } else {
+            self.next_single(db)
         };
-        let run = match batching {
-            None => self.next_single(db, false),
-            Some(true) => self.next_run_batched(db, max),
-            Some(false) => self.next_run_fifo(db),
-        };
-        if let Some(st) = &mut self.adaptive {
-            st.admitted_in_epoch += run.len() as u64;
-        }
+        self.admitted_in_epoch += run.len() as u64;
         run
     }
 
     /// Fold grant-deferral events reported with a lock grant into the
-    /// current adaptive epoch's conflict counter. No-op for the static
-    /// policies.
+    /// current epoch's conflict counter.
     #[inline]
     pub fn note_lock_waits(&mut self, waiters: u32) {
-        if let Some(st) = &mut self.adaptive {
-            st.waits_in_epoch += waiters as u64;
-        }
+        self.waits_in_epoch += waiters as u64;
     }
 
-    /// Whether adaptive admission is currently batching (always `true`
-    /// for `ConflictBatch`, `false` for `Fifo`). Diagnostics/tests.
+    /// Whether admissions currently batch (always `true` for
+    /// `ConflictBatch`, `false` for `Fifo`). Diagnostics/tests.
     pub fn batching(&self) -> bool {
-        match (&self.run_queues, &self.adaptive) {
-            (None, _) => false,
-            (Some(_), None) => true,
-            (_, Some(st)) => st.batching,
-        }
+        self.ctl.batching()
     }
 
-    /// Adaptive policy switches so far (0 for the static policies).
+    /// Policy switches so far (0 for the static policies).
     pub fn switches(&self) -> u64 {
-        self.adaptive.as_ref().map_or(0, |st| st.ctl.switches())
+        self.ctl.switches()
     }
 
-    /// Close the adaptive epoch if it is due: feed the counters to the
-    /// controller, apply its (mode, batch-depth) verdict, and tick the
-    /// sketch decay — the epoch close *is* the adaptive sketch clock (see
-    /// the module docs on clocks).
+    /// Close the epoch if it is due: feed the counters to the controller,
+    /// apply its batch-depth verdict, and tick the sketch decay — the
+    /// epoch close is the one clock (see the module docs).
     fn maybe_close_epoch(&mut self) {
-        let Some(st) = &mut self.adaptive else { return };
-        if st.admitted_in_epoch < st.epoch {
+        if self.admitted_in_epoch < self.epoch {
             return;
         }
-        let (batching, batch) = st
+        let (_, batch) = self
             .ctl
-            .observe_epoch(st.waits_in_epoch, st.admitted_in_epoch);
-        st.admitted_in_epoch = 0;
-        st.waits_in_epoch = 0;
-        st.batching = batching;
-        let rq = self.run_queues.as_mut().expect("adaptive has queues");
+            .observe_epoch(self.waits_in_epoch, self.admitted_in_epoch);
+        self.admitted_in_epoch = 0;
+        self.waits_in_epoch = 0;
+        let rq = &mut self.run_queues;
         rq.sketch.decay_tick();
         rq.batch = batch;
         rq.budget = rq.budget.min(batch);
     }
 
-    /// The seed's admission step: pull one, plan one. With `observe`
-    /// (adaptive FIFO mode) the planned footprint still feeds the
-    /// frequency sketch, so a later promotion classifies with a warm
-    /// sketch instead of falling back to the hint. Empty when the source
-    /// is dry.
-    fn next_single(&mut self, db: &Database, observe: bool) -> Vec<Admitted> {
-        let Admitter {
-            source,
-            plan_rng,
-            noise,
-            run_queues,
-            ..
-        } = self;
-        let Some(sourced) = source.pull() else {
+    /// The seed's admission step: pull one, plan one. The planned
+    /// footprint still feeds the frequency sketch, so a later promotion
+    /// classifies with a warm sketch instead of falling back to the hint.
+    /// Empty when the source is dry.
+    fn next_single(&mut self, db: &Database) -> Vec<Admitted> {
+        let Some(sourced) = self.source.pull() else {
             return Vec::new();
         };
-        let plan = plan_accesses(&sourced.program, db, *noise, plan_rng);
-        if observe {
-            let rq = run_queues.as_mut().expect("adaptive has queues");
-            for &(k, _) in plan.accesses.entries() {
-                rq.sketch.observe(k);
-            }
+        let plan = plan_accesses(&sourced.program, db, self.noise, &mut self.plan_rng);
+        for &(k, _) in plan.accesses.entries() {
+            self.run_queues.sketch.observe(k);
         }
         vec![Admitted {
             program: sourced.program,
@@ -721,19 +720,6 @@ impl<S: TxnSource> Admitter<S> {
         }]
     }
 
-    /// Adaptive FIFO mode: first drain any backlog left queued by a
-    /// demotion — one transaction per admission, same round-robin
-    /// rotation, so nothing is lost and the per-class cap keeps bounding
-    /// wait across the switch — then admit in the seed's
-    /// generate-one-admit-one order.
-    fn next_run_fifo(&mut self, db: &Database) -> Vec<Admitted> {
-        if self.queued() > 0 {
-            self.next_run_batched(db, 1)
-        } else {
-            self.next_single(db, true)
-        }
-    }
-
     /// Re-plan after an OLLP mismatch with the corrected (noise-free)
     /// estimate, continuing the same planning RNG stream the seed used.
     pub fn replan(&mut self, program: &Program, db: &Database) -> Plan {
@@ -741,12 +727,12 @@ impl<S: TxnSource> Admitter<S> {
     }
 
     /// Transactions planned and queued but not yet admitted (always 0 for
-    /// `Fifo`; for `Adaptive` a demotion's backlog counts until drained).
-    /// They hold no locks and no slots. At shutdown, synthetic backlog is
+    /// `Fifo`; after a demotion the backlog counts until drained). They
+    /// hold no locks and no slots. At shutdown, synthetic backlog is
     /// simply dropped; ticketed backlog is drained first (see
     /// [`Self::drain_on_stop`]).
     pub fn queued(&self) -> usize {
-        self.run_queues.as_ref().map_or(0, |rq| rq.queued)
+        self.run_queues.queued
     }
 
     /// Whether undelivered work exists: queued transactions or source
@@ -765,13 +751,6 @@ impl<S: TxnSource> Admitter<S> {
 
     fn next_run_batched(&mut self, db: &Database, max: usize) -> Vec<Admitted> {
         if self.queued() == 0 {
-            // Plain ConflictBatch decays on its window clock: the refill
-            // boundary. Adaptive ticks at epoch closes instead (one clock,
-            // see `maybe_close_epoch`). Either way, never mid-window.
-            if self.adaptive.is_none() {
-                let rq = self.run_queues.as_mut().expect("batched policy");
-                rq.sketch.decay_tick();
-            }
             self.refill(db);
             if self.queued() == 0 {
                 // Source dry (client ring empty): nothing to admit, and
@@ -779,7 +758,7 @@ impl<S: TxnSource> Admitter<S> {
                 return Vec::new();
             }
         }
-        let rq = self.run_queues.as_mut().expect("batched policy");
+        let rq = &mut self.run_queues;
         // Drain the current class back-to-back up to its batch budget,
         // then rotate. `queued > 0` guarantees the rotation terminates.
         loop {
@@ -800,21 +779,14 @@ impl<S: TxnSource> Admitter<S> {
     /// it into the class queues. Planning happens here, once — the plans
     /// ride the queues to execution.
     fn refill(&mut self, db: &Database) {
-        let Admitter {
-            source,
-            plan_rng,
-            noise,
-            run_queues,
-            ..
-        } = self;
-        let rq = run_queues.as_mut().expect("batched policy");
+        let rq = &mut self.run_queues;
         let window = rq.queues.len() * rq.batch;
         let mut pulled = 0;
         for _ in 0..window {
-            let Some(sourced) = source.pull() else {
+            let Some(sourced) = self.source.pull() else {
                 break;
             };
-            let plan = plan_accesses(&sourced.program, db, *noise, plan_rng);
+            let plan = plan_accesses(&sourced.program, db, self.noise, &mut self.plan_rng);
             for &(k, _) in plan.accesses.entries() {
                 rq.sketch.observe(k);
             }
@@ -1197,6 +1169,30 @@ mod tests {
         }
         assert!(!admit.batching());
         assert_eq!(admit.switches(), 0);
+
+        // ConflictBatch is the controller pinned at (batching, `batch`):
+        // with no signal at all it must neither demote nor step down.
+        let policy = AdmissionPolicy::ConflictBatch {
+            classes: 4,
+            batch: 8,
+        };
+        let mut admit = Admitter::new(
+            &policy,
+            SyntheticSource::new(
+                Spec::Micro(MicroSpec::hot_cold(1024, 4, 2, 4, false)).generator(9, 1),
+            ),
+            9,
+            1,
+            0,
+        );
+        let mut longest = 0;
+        for _ in 0..300 {
+            longest = longest.max(admit.next_run(&db, 16).len());
+            assert!(admit.batching(), "ConflictBatch must never demote");
+            assert_eq!(admit.run_queues.batch, 8, "depth must stay at `batch`");
+        }
+        assert_eq!(longest, 8, "runs reach the pinned depth");
+        assert_eq!(admit.switches(), 0);
     }
 
     #[test]
@@ -1224,6 +1220,24 @@ mod tests {
             run.len() > 1
         });
         assert!(saw_multi, "promotion must enable fused runs");
+
+        // Fifo is the controller pinned at "never batch": a saturating
+        // signal across many of its epochs must not promote it.
+        let mut admit = Admitter::new(
+            &AdmissionPolicy::Fifo,
+            SyntheticSource::new(Spec::Micro(spec.clone()).generator(7, 0)),
+            7,
+            0,
+            0,
+        );
+        for _ in 0..4 * DEFAULT_ADAPTIVE_EPOCH {
+            let run = admit.next_run(&db, 8);
+            assert_eq!(run.len(), 1, "fifo admits runs of one");
+            admit.note_lock_waits(u32::MAX);
+            assert!(!admit.batching(), "Fifo must never promote");
+            assert_eq!(admit.queued(), 0, "Fifo must never queue");
+        }
+        assert_eq!(admit.switches(), 0);
     }
 
     #[test]
@@ -1365,7 +1379,7 @@ mod tests {
             0,
         );
         let hot_before = {
-            let rq = admit.run_queues.as_mut().expect("batched policy");
+            let rq = &mut admit.run_queues;
             for _ in 0..HotSketch::DECAY_EVERY - 8 {
                 rq.sketch.observe(7);
             }
@@ -1374,13 +1388,13 @@ mod tests {
         let window = 4 * 8;
         for i in 0..window {
             admit.next(&db).expect("synthetic");
-            let h = admit.run_queues.as_ref().unwrap().sketch.hotness(7);
+            let h = admit.run_queues.sketch.hotness(7);
             assert!(h >= hot_before, "decay mid-window at admission {i}");
         }
         assert_eq!(admit.queued(), 0);
         // The next admission refills — the boundary tick halves first.
         admit.next(&db).expect("synthetic");
-        let h = admit.run_queues.as_ref().unwrap().sketch.hotness(7);
+        let h = admit.run_queues.sketch.hotness(7);
         assert!(h < hot_before, "the refill boundary must apply the decay");
     }
 }

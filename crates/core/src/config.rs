@@ -97,14 +97,15 @@ pub struct OrthrusConfig {
     /// the in-flight cap, so a draining client can never wedge the
     /// engine.
     pub ingest_capacity: usize,
-    /// Admission scheduling policy (ablations A6/A7).
-    /// [`AdmissionPolicy::Fifo`] is the seed's admission order;
-    /// `ConflictBatch` batches transactions by conflict class before
-    /// admission (Prasaad et al.), planning each transaction once at
-    /// admission and draining per-class run queues back-to-back;
-    /// `Adaptive` switches between the two online from the observed
-    /// grant-deferral rate (hysteresis-controlled, see
-    /// [`crate::admit::AdaptiveController`]).
+    /// Admission scheduling policy (ablations A6/A7): the setting of the
+    /// one admission controller ([`crate::admit::AdaptiveController`]).
+    /// `Adaptive` switches online between admitting in generator order
+    /// and batching by conflict class (Prasaad et al.: plan once at
+    /// admission, drain per-class run queues back-to-back), driven by
+    /// the observed grant-deferral rate under hysteresis.
+    /// [`AdmissionPolicy::Fifo`] pins the controller to never batch —
+    /// the seed's admission order — and `ConflictBatch` pins it to batch
+    /// at a fixed depth.
     pub admission: AdmissionPolicy,
     /// Durability (`ORTHRUS_DURABILITY` in the harness): `Off` is the
     /// paper's main-memory-only semantics; `Log` appends one command-log

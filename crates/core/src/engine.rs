@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use orthrus_common::affinity::pin_to_core;
-use orthrus_common::runtime::{timed_run, RunCtl, RunParams};
+use orthrus_common::runtime::{RunCtl, RunParams};
 use orthrus_common::sim;
 use orthrus_common::{Backoff, RunStats, ThreadStats};
 use orthrus_durability::checkpoint::{run_checkpointer, write_initial_checkpoint};
@@ -34,13 +34,13 @@ use orthrus_durability::{run_sync_coordinator, CommandLog, ReplayReport};
 use orthrus_spsc::{channel_labeled, Consumer, FanIn, Producer};
 use orthrus_txn::Database;
 use orthrus_workload::Spec;
-use parking_lot::Mutex;
 
 use crate::cc::{CcState, OutMsg};
 use crate::config::OrthrusConfig;
 use crate::msg::{CcRequest, ExecResponse};
 use crate::session::{Session, SubmitShared};
-use crate::source::{ClientSource, Completion, Submission, SyntheticSource};
+use crate::shared::SharedCcState;
+use crate::source::{ClientSource, Completion, Submission, SyntheticSource, TxnSource};
 
 /// A typed shutdown/recovery failure: the error paths the fault injector
 /// can reach (fsync failure, a worker killed by an injected fault) report
@@ -129,16 +129,9 @@ impl OrthrusEngine {
     /// assignment shapes) — better a loud construction failure than an
     /// engine that silently hangs or starves at run time.
     pub fn new(db: Arc<Database>, spec: Spec, cfg: OrthrusConfig) -> Self {
-        if let Err(why) = cfg.validate() {
-            panic!("invalid OrthrusConfig: {why}");
-        }
-        let log = open_log(&cfg);
-        ensure_initial_checkpoint(&cfg, &db, &log);
         OrthrusEngine {
-            db,
             spec: Some(spec),
-            cfg,
-            log,
+            ..Self::service(db, cfg)
         }
     }
 
@@ -206,14 +199,21 @@ impl OrthrusEngine {
         &self.cfg
     }
 
-    /// Run the closed-loop workload for a timed window.
+    /// Run the closed-loop workload for a timed window: [`Self::start`]'s
+    /// lifecycle with one [`SyntheticSource`] per execution thread in
+    /// place of the client ingest rings, then warm-up, measurement window
+    /// and [`EngineHandle::shutdown`]. [`RunStats::threads`] counts the
+    /// execution threads; the CC threads' (and the group-fsync
+    /// coordinator's) counters merge into the last of them.
     ///
     /// # Panics
     /// - on an engine built with [`Self::service`] (no workload spec);
     /// - if `params.threads` is neither `0` ("derive from the engine")
     ///   nor exactly [`OrthrusConfig::total_threads`] — the engine always
     ///   runs its own CC/exec split, and a silently ignored mismatch
-    ///   would let a harness mislabel what it measured.
+    ///   would let a harness mislabel what it measured;
+    /// - if a worker panics or the final command-log sync fails, as
+    ///   [`EngineHandle::shutdown`] does.
     pub fn run(&self, params: &RunParams) -> RunStats {
         let spec = self
             .spec
@@ -227,77 +227,16 @@ impl OrthrusEngine {
             self.cfg.n_cc,
             self.cfg.n_exec,
         );
-        let c = self.cfg.n_cc;
-        let fabric = build_fabric(&self.cfg);
-        let cc_slots: Vec<Mutex<Option<CcEndpoints>>> = fabric
-            .cc
-            .into_iter()
-            .map(|ep| Mutex::new(Some(ep)))
+        // The synthetic source wraps the seed's generator stream
+        // unchanged; synthetic work reports no completions.
+        let sources = (0..self.cfg.n_exec)
+            .map(|ex| (SyntheticSource::new(spec.generator(params.seed, ex)), None))
             .collect();
-        let exec_slots: Vec<Mutex<Option<ExecEndpoints>>> = fabric
-            .exec
-            .into_iter()
-            .map(|ep| Mutex::new(Some(ep)))
-            .collect();
-        let active_execs = AtomicUsize::new(self.cfg.n_exec);
-        let shared_table = shared_table_for(&self.cfg);
-        let aux = AuxThreads::spawn(&self.cfg, &self.log);
-
-        let mut stats = timed_run(
-            self.cfg.total_threads(),
-            params.warmup,
-            params.measure,
-            |i| i >= c, // only execution threads define the breakdown
-            |i, ctl| {
-                if i < c {
-                    let ep = cc_slots[i].lock().take().expect("cc endpoints taken twice");
-                    let flush = self.cfg.effective_flush_threshold();
-                    match &shared_table {
-                        None => run_cc(i as u32, CC_TABLE_CAPACITY, flush, ep, ctl, &active_execs),
-                        Some(table) => {
-                            run_cc_shared(Arc::clone(table), flush, ep, ctl, &active_execs)
-                        }
-                    }
-                } else {
-                    let ex = i - c;
-                    let ep = exec_slots[ex]
-                        .lock()
-                        .take()
-                        .expect("exec endpoints taken twice");
-                    // Admission is thread-local: each execution thread owns
-                    // its policy state (source, planning RNG, any
-                    // conflict-class run queues). The synthetic source
-                    // wraps the seed's generator stream unchanged.
-                    let source = SyntheticSource::new(spec.generator(params.seed, ex));
-                    let admit = crate::admit::Admitter::new(
-                        &self.cfg.admission,
-                        source,
-                        params.seed,
-                        ex as u16,
-                        self.cfg.ollp_noise_pct,
-                    );
-                    let thread = crate::exec::ExecThread::new(
-                        ex as u16, &self.db, &self.cfg, ep.to_cc, ep.fanin, admit,
-                    )
-                    .with_log(self.log.clone());
-                    thread.run(ctl, &active_execs)
-                }
-            },
-        );
-        // Workers are joined (timed_run returned): every append's
-        // watermark is published, so the coordinator's final pass drains
-        // the log before it stops.
-        let coord = aux
-            .finish()
-            .unwrap_or_else(|msg| panic!("engine worker panicked: {msg}"));
-        stats.totals.merge(&coord);
-        if let Some(log) = &self.log {
-            // A finished closed-loop run is a clean stop: make it fully
-            // replayable even in fsync-free `log` mode.
-            log.sync()
-                .unwrap_or_else(|e| panic!("command-log sync failed: {e}"));
-        }
-        stats
+        let mut handle = self.launch(params.seed, sources, Vec::new(), Vec::new());
+        std::thread::sleep(params.warmup);
+        handle.begin_measurement();
+        std::thread::sleep(params.measure);
+        handle.shutdown()
     }
 
     /// Start the engine in **service mode**: spawn its CC and execution
@@ -312,11 +251,51 @@ impl OrthrusEngine {
     /// `seed` seeds the planning RNGs (the OLLP reconnaissance stream),
     /// exactly as a closed-loop run's `params.seed` would.
     ///
-    /// All three admission policies operate unchanged over the client
-    /// source; statistics accumulate until [`EngineHandle::shutdown`]
-    /// (open a measurement window with
-    /// [`EngineHandle::begin_measurement`]).
+    /// Admission runs unchanged over the client source; statistics
+    /// accumulate until [`EngineHandle::shutdown`] (open a measurement
+    /// window with [`EngineHandle::begin_measurement`]).
     pub fn start(&self, seed: u64) -> EngineHandle {
+        let cfg = &self.cfg;
+        // Fast-path sizing: everything accepted-but-uncompleted sits in
+        // the ingest ring, the admission policy's run queues (up to one
+        // refill window), or an in-flight slot; doubling covers a client
+        // whose draining lags its submitting by a burst. A client that
+        // lags further never wedges the engine — completions overflow to
+        // an exec-local buffer and re-flush as the client drains (see
+        // `ExecThread::completion_overflow`); the ring only bounds the
+        // latch-free fast path.
+        let completion_capacity =
+            2 * (cfg.ingest_capacity + cfg.admission.max_queued_window() + cfg.max_inflight);
+        let mut ingest = Vec::with_capacity(cfg.n_exec);
+        let mut completions = Vec::with_capacity(cfg.n_exec);
+        let mut sources = Vec::with_capacity(cfg.n_exec);
+        for _ in 0..cfg.n_exec {
+            let (submit_tx, submit_rx) =
+                channel_labeled::<Submission>(cfg.ingest_capacity, "ingest");
+            let (done_tx, done_rx) =
+                channel_labeled::<Completion>(completion_capacity, "completion");
+            ingest.push(submit_tx);
+            completions.push(done_rx);
+            let source = ClientSource::new(submit_rx, cfg.effective_flush_threshold());
+            sources.push((source, Some(done_tx)));
+        }
+        self.launch(seed, sources, ingest, completions)
+    }
+
+    /// The one engine lifecycle: build the fabric, spawn the companions
+    /// ([`AuxThreads`]) and the pinned, sim-enrolled workers — CC thread
+    /// `i` on core `i`, execution thread `ex` on core `n_cc + ex`,
+    /// admitting from `sources[ex]` and reporting ticketed commits
+    /// through its completion ring, if any — and return the handle that
+    /// measures, stops and joins them. `ingest`/`completions` are the
+    /// client ends of the sources' rings (empty for synthetic work).
+    fn launch<S: TxnSource + Send + 'static>(
+        &self,
+        seed: u64,
+        sources: Vec<(S, Option<Producer<Completion>>)>,
+        ingest: Vec<Producer<Submission>>,
+        completions: Vec<Consumer<Completion>>,
+    ) -> EngineHandle {
         let cfg = Arc::new(self.cfg.clone());
         let fabric = build_fabric(&cfg);
         let ctl = Arc::new(RunCtl::new());
@@ -340,31 +319,16 @@ impl OrthrusEngine {
                 let _sim = sim::enroll(&name);
                 pin_to_core(cc);
                 match shared {
-                    None => run_cc(cc as u32, CC_TABLE_CAPACITY, flush, ep, &ctl, &active),
-                    Some(table) => run_cc_shared(table, flush, ep, &ctl, &active),
+                    None => {
+                        let state = CcState::new(cc as u32, CC_TABLE_CAPACITY);
+                        run_cc(state, flush, ep, &ctl, &active)
+                    }
+                    Some(table) => run_cc(SharedCcState::new(table), flush, ep, &ctl, &active),
                 }
             }));
         }
 
-        let mut ingest: Vec<Producer<Submission>> = Vec::with_capacity(cfg.n_exec);
-        let mut completions: Vec<Consumer<Completion>> = Vec::with_capacity(cfg.n_exec);
-        // Fast-path sizing: everything accepted-but-uncompleted sits in
-        // the ingest ring, the admission policy's run queues (up to one
-        // refill window), or an in-flight slot; doubling covers a client
-        // whose draining lags its submitting by a burst. A client that
-        // lags further never wedges the engine — completions overflow to
-        // an exec-local buffer and re-flush as the client drains (see
-        // `ExecThread::completion_overflow`); the ring only bounds the
-        // latch-free fast path.
-        let completion_capacity =
-            2 * (cfg.ingest_capacity + cfg.admission.max_queued_window() + cfg.max_inflight);
-        for (ex, ep) in fabric.exec.into_iter().enumerate() {
-            let (submit_tx, submit_rx) =
-                channel_labeled::<Submission>(cfg.ingest_capacity, "ingest");
-            let (done_tx, done_rx) =
-                channel_labeled::<Completion>(completion_capacity, "completion");
-            ingest.push(submit_tx);
-            completions.push(done_rx);
+        for (ex, (ep, (source, done))) in fabric.exec.into_iter().zip(sources).enumerate() {
             let db = Arc::clone(&self.db);
             let cfg = Arc::clone(&cfg);
             let ctl = Arc::clone(&ctl);
@@ -375,7 +339,8 @@ impl OrthrusEngine {
             workers.push(std::thread::spawn(move || {
                 let _sim = sim::enroll(&name);
                 pin_to_core(cfg.n_cc + ex);
-                let source = ClientSource::new(submit_rx, cfg.effective_flush_threshold());
+                // Admission is thread-local: each execution thread owns
+                // its source, planning RNG and run queues.
                 let admit = crate::admit::Admitter::new(
                     &cfg.admission,
                     source,
@@ -383,10 +348,13 @@ impl OrthrusEngine {
                     ex as u16,
                     cfg.ollp_noise_pct,
                 );
-                crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, admit)
-                    .with_completions(done_tx)
-                    .with_log(log)
-                    .run(&ctl, &active)
+                let mut thread =
+                    crate::exec::ExecThread::new(ex as u16, &db, &cfg, ep.to_cc, ep.fanin, admit)
+                        .with_log(log);
+                if let Some(done) = done {
+                    thread = thread.with_completions(done);
+                }
+                thread.run(&ctl, &active)
             }));
         }
 
@@ -548,12 +516,9 @@ struct Fabric {
 }
 
 /// Build the full SPSC mesh for `cfg`'s thread shape (see the module
-/// docs for the capacity bounds). Shared by the closed-loop [`run`]
-/// protocol and service-mode [`start`] — the fabric is identical; only
-/// where admission gets its transactions differs.
-///
-/// [`run`]: OrthrusEngine::run
-/// [`start`]: OrthrusEngine::start
+/// docs for the capacity bounds). Built by the one lifecycle
+/// ([`OrthrusEngine::launch`]) for closed-loop runs and service mode
+/// alike — only where admission gets its transactions differs.
 // Indexed loops keep the (producer, consumer) ring-matrix wiring
 // visibly symmetric; iterator forms obscure which side is which.
 #[allow(clippy::needless_range_loop)]
@@ -628,8 +593,9 @@ fn shared_table_for(cfg: &OrthrusConfig) -> Option<Arc<orthrus_lockmgr::LockTabl
     }
 }
 
-/// A running service-mode engine: owns the worker threads, the
-/// submission fabric, and the completion rings.
+/// A running engine: owns the worker threads, the submission fabric, and
+/// the completion rings. [`OrthrusEngine::run`] drives one internally
+/// over synthetic sources (no rings, no sessions).
 ///
 /// Lifecycle: [`OrthrusEngine::start`] → [`Self::session`] /
 /// [`Self::begin_measurement`] / [`Self::drain_completions`] →
@@ -792,7 +758,7 @@ impl EngineHandle {
         let exec_stats = cc_stats.split_off(self.n_cc);
         let mut per_thread = exec_stats;
         // CC threads contribute message counts without inflating the
-        // thread count — the same "counted" rule as the timed protocol.
+        // thread count: `RunStats::threads` counts execution threads.
         if let Some(last) = per_thread.last_mut() {
             for cc in &cc_stats {
                 last.merge(cc);
@@ -881,22 +847,61 @@ impl CcOutBufs {
     }
 }
 
+/// The lock state a CC thread pumps requests through: its own partition
+/// of the lock table ([`CcState`], Section 3.1) or a handle on the shared
+/// latched table ([`SharedCcState`], Section 3.4).
+trait CcCore {
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>);
+
+    /// Re-poll acquisitions parked on locks another CC thread's release
+    /// frees; returns how many advanced. A partition owns its locks, so
+    /// nothing ever parks there.
+    fn poll_parked(&mut self, _out: &mut Vec<OutMsg>) -> usize {
+        0
+    }
+
+    /// Acquisitions still parked.
+    fn parked(&self) -> usize {
+        0
+    }
+}
+
+impl CcCore for CcState {
+    #[inline]
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
+        CcState::handle(self, req, out)
+    }
+}
+
+impl CcCore for SharedCcState {
+    #[inline]
+    fn handle(&mut self, req: CcRequest, out: &mut Vec<OutMsg>) {
+        SharedCcState::handle(self, req, out)
+    }
+
+    fn poll_parked(&mut self, out: &mut Vec<OutMsg>) -> usize {
+        self.poll_pending(out)
+    }
+
+    fn parked(&self) -> usize {
+        self.pending_count()
+    }
+}
+
 /// The CC thread loop: a tight, latch-free request pump (Section 3.1,
 /// "concurrency control threads run a tight loop which sequentially
 /// processes requests"), batched: each poll drains up to `flush_threshold`
-/// requests from the fan-in in one sweep, and the round's outgoing
-/// messages are coalesced per destination and flushed as slices. With
-/// `flush_threshold == 1` this degenerates to the seed's
-/// one-message-per-atomic-publish pump.
-fn run_cc(
-    id: u32,
-    table_capacity: usize,
+/// requests from the fan-in in one sweep, re-polls any parked
+/// acquisitions, and the round's outgoing messages are coalesced per
+/// destination and flushed as slices. With `flush_threshold == 1` this
+/// degenerates to the seed's one-message-per-atomic-publish pump.
+fn run_cc<C: CcCore>(
+    mut state: C,
     flush_threshold: usize,
     mut ep: CcEndpoints,
     ctl: &RunCtl,
     active_execs: &AtomicUsize,
 ) -> ThreadStats {
-    let mut state = CcState::new(id, table_capacity);
     let mut stats = ThreadStats::default();
     let mut out: Vec<OutMsg> = Vec::with_capacity(16);
     let drain_budget = flush_threshold;
@@ -909,17 +914,25 @@ fn run_cc(
             stats.reset_window();
             in_window = true;
         }
-        let drained = ep.fanin.drain_round(&mut in_buf, drain_budget);
-        if drained > 0 {
-            for req in in_buf.drain(..) {
-                state.handle(req, &mut out);
-                for msg in out.drain(..) {
-                    out_bufs.stage(msg, &mut stats);
-                }
+        let mut progress = ep.fanin.drain_round(&mut in_buf, drain_budget) > 0;
+        for req in in_buf.drain(..) {
+            state.handle(req, &mut out);
+        }
+        progress |= state.poll_parked(&mut out) > 0;
+        if progress {
+            for msg in out.drain(..) {
+                out_bufs.stage(msg, &mut stats);
             }
             out_bufs.flush(&mut ep, ctl);
             backoff.reset();
-        } else if ctl.is_stopped() && active_execs.load(std::sync::atomic::Ordering::Acquire) == 0 {
+        } else if ctl.is_stopped()
+            && active_execs.load(Ordering::Acquire) == 0
+            // A dead exec thread never releases the locks its in-flight
+            // transactions hold, so its peers' parked acquisitions can
+            // never be granted — on failure, abandon them instead of
+            // polling forever.
+            && (state.parked() == 0 || ctl.is_failed())
+        {
             // Every exec flushed its final sends before decrementing, and
             // forwards only exist while acquires are unresolved — one last
             // sweep and we are done.
@@ -932,64 +945,6 @@ fn run_cc(
     }
     // CC threads contribute only message counts to the merged stats; their
     // CPU time is not part of the Figure-10 execution-thread breakdown.
-    stats.execution_ns = 0;
-    stats.locking_ns = 0;
-    stats.waiting_ns = 0;
-    stats
-}
-
-/// The Section-3.4 CC loop: pump requests against the shared latched
-/// table, re-polling parked acquisitions each iteration (grants arrive
-/// from *other* CC threads' releases through the shared table).
-fn run_cc_shared(
-    table: Arc<orthrus_lockmgr::LockTable>,
-    flush_threshold: usize,
-    mut ep: CcEndpoints,
-    ctl: &RunCtl,
-    active_execs: &AtomicUsize,
-) -> ThreadStats {
-    let mut state = crate::shared::SharedCcState::new(table);
-    let mut stats = ThreadStats::default();
-    let mut out: Vec<OutMsg> = Vec::with_capacity(16);
-    let drain_budget = flush_threshold;
-    let mut in_buf: Vec<CcRequest> = Vec::with_capacity(drain_budget);
-    let mut out_bufs = CcOutBufs::new(ep.to_cc.len(), ep.to_exec.len(), drain_budget);
-    let mut backoff = Backoff::new();
-    let mut in_window = false;
-    loop {
-        if !in_window && ctl.is_measuring() {
-            stats.reset_window();
-            in_window = true;
-        }
-        let mut progress = false;
-        if ep.fanin.drain_round(&mut in_buf, drain_budget) > 0 {
-            for req in in_buf.drain(..) {
-                state.handle(req, &mut out);
-            }
-            progress = true;
-        }
-        progress |= state.poll_pending(&mut out) > 0;
-        for msg in out.drain(..) {
-            out_bufs.stage(msg, &mut stats);
-        }
-        out_bufs.flush(&mut ep, ctl);
-        if progress {
-            backoff.reset();
-        } else if ctl.is_stopped()
-            && active_execs.load(std::sync::atomic::Ordering::Acquire) == 0
-            // A dead exec thread never releases the locks its in-flight
-            // transactions hold, so its peers' parked acquisitions can
-            // never be granted — on failure, abandon them instead of
-            // polling forever.
-            && (state.pending_count() == 0 || ctl.is_failed())
-        {
-            if ep.fanin.is_empty() {
-                break;
-            }
-        } else {
-            backoff.snooze();
-        }
-    }
     stats.execution_ns = 0;
     stats.locking_ns = 0;
     stats.waiting_ns = 0;
@@ -1683,6 +1638,37 @@ mod tests {
         let cfg = OrthrusConfig::with_threads(1, 2, CcAssignment::KeyModulo);
         let engine = OrthrusEngine::new(db, spec, cfg);
         let _ = engine.run(&RunParams::quick(7)); // engine runs 3 threads
+    }
+
+    /// `RunStats::threads` counts execution threads in both run modes:
+    /// the CC threads' counters merge into the last execution thread's
+    /// entry instead of adding one of their own.
+    #[test]
+    fn run_and_service_count_the_same_threads() {
+        let _serial = crate::test_serial();
+        for (n_cc, n_exec) in [(1, 1), (2, 1), (1, 2)] {
+            let spec = Spec::Micro(MicroSpec::uniform(64, 2, false));
+            let cfg = OrthrusConfig::with_threads(n_cc, n_exec, CcAssignment::KeyModulo);
+            let db = Arc::new(Database::Flat(Table::new(64, 64)));
+            let engine = OrthrusEngine::new(db, spec, cfg.clone());
+            let params = RunParams {
+                warmup: std::time::Duration::from_millis(5),
+                measure: std::time::Duration::from_millis(20),
+                ..quick()
+            };
+            let closed = engine.run(&params);
+            let db = Arc::new(Database::Flat(Table::new(64, 64)));
+            let service = OrthrusEngine::service(db, cfg).start(1).shutdown();
+            for (mode, stats) in [("run", &closed), ("start", &service)] {
+                assert_eq!(stats.threads, n_exec, "{mode} at {n_cc}x{n_exec}");
+                assert_eq!(
+                    stats.per_thread_latency.len(),
+                    n_exec,
+                    "{mode} at {n_cc}x{n_exec}"
+                );
+            }
+            assert!(closed.totals.committed > 0, "{n_cc}x{n_exec}");
+        }
     }
 
     #[test]

@@ -486,8 +486,8 @@ impl<'a, S: TxnSource> ExecThread<'a, S> {
             waiters,
         } = resp;
         // The grant's deferral count is the contention signal: fold it
-        // into the adaptive epoch counters (no-op for static policies)
-        // and the run stats. Without forwarding each span reports its own
+        // into the admission epoch counters (a pinned controller ignores
+        // it) and the run stats. Without forwarding each span reports its own
         // share, so summing per-grant stays correct in both modes.
         self.admit.note_lock_waits(waiters);
         self.stats.lock_waits += waiters as u64;

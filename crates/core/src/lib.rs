@@ -76,15 +76,20 @@
 //!   ladder ([`ladder`]) in between (ablation A7, `abl07_adaptive`,
 //!   tracks the better static policy across the crossover).
 //!
+//! The three are one mechanism: `Fifo` and `ConflictBatch` are the same
+//! controller pinned at "never batch" and "batch at depth `batch`".
+//!
 //! ## Transaction sources and the open loop ([`source`], [`session`])
 //!
 //! *Where* admission gets its transactions is a second seam,
-//! [`TxnSource`]: the closed-loop [`engine::OrthrusEngine::run`] wraps
-//! the synthetic workload generator ([`SyntheticSource`] — proptest-
-//! pinned bit-identical to the seed's admission stream), while the
-//! service-mode lifecycle ([`engine::OrthrusEngine::start`] →
-//! [`EngineHandle`]) feeds each execution thread from a bounded client
-//! ingest ring ([`ClientSource`]). Clients hold [`Session`]s:
+//! [`TxnSource`]. Both run modes share one lifecycle
+//! ([`engine::OrthrusEngine::start`] → [`EngineHandle`]) and differ only
+//! in the source: the closed-loop [`engine::OrthrusEngine::run`] gives
+//! each execution thread the synthetic workload generator
+//! ([`SyntheticSource`] — proptest-pinned bit-identical to the seed's
+//! admission stream) and a timed window, while service mode feeds each
+//! execution thread from a bounded client ingest ring
+//! ([`ClientSource`]). Clients hold [`Session`]s:
 //! `submit(Program) -> Ticket` routes by [`hot_key_hint`], a full ring
 //! is backpressure ([`TrySubmitError::Full`]), and every accepted
 //! ticket completes exactly once through a completion ring carrying

@@ -120,8 +120,9 @@ pub(crate) struct SubmitShared {
 }
 
 impl SubmitShared {
+    /// One lane per execution thread; none for a closed-loop run, whose
+    /// handle never hands out sessions.
     pub(crate) fn new(lanes: Vec<Producer<Submission>>) -> Self {
-        assert!(!lanes.is_empty(), "validated by OrthrusConfig (n_exec ≥ 1)");
         SubmitShared {
             lanes: lanes.into_iter().map(Mutex::new).collect(),
             accepting: AtomicBool::new(true),

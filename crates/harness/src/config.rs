@@ -360,6 +360,7 @@ mod tests {
 
     #[test]
     fn thread_sweep_respects_cap() {
+        let _serial = crate::test_serial();
         let mut bc = BenchConfig::test_quick();
         bc.max_threads = 0;
         assert_eq!(bc.thread_sweep(), vec![10, 20, 40, 60, 80]);
